@@ -12,7 +12,8 @@
 #
 # Usage: ./ci.sh [stage]
 #   stage ∈ {build, test, lint, guardcheck, clippy, telemetry, journeys,
-#   ha, fleet, fleetobs, analytics, poison, docs}; no argument runs all.
+#   ha, fleet, fleetobs, analytics, poison, artifacts, docs}; no argument
+#   runs all.
 #   `tsan` (nightly-only ThreadSanitizer pass) runs only when requested
 #   explicitly and skips gracefully without a nightly toolchain.
 set -euo pipefail
@@ -139,6 +140,31 @@ if want poison; then
     --poison-only --obs-out target/poison-smoke
   cargo run --release --offline -p bench --bin telemetry_check -- \
     --poison target/poison-smoke/BENCH_poison.json
+fi
+
+if want artifacts; then
+  echo "==> artifacts (every committed BENCH_* file regenerates byte for byte)"
+  # The simulator is seeded, so a change that keeps behaviour must leave
+  # every committed experiment artifact identical; a change that alters
+  # it must commit the regenerated file.
+  out=target/artifacts
+  mkdir -p "$out"
+  cargo run -q --release --offline -p bench --bin all_experiments -- \
+    --obs-only --fleetobs-only --poison-only --obs-out "$out" > /dev/null
+  cargo run -q --release --offline -p bench --features traffic-analytics \
+    --bin all_experiments -- --analytics-only --obs-out "$out" > /dev/null
+  stale=0
+  for f in $(git ls-files 'BENCH_*.json' 'BENCH_*.jsonl'); do
+    if cmp "$f" "$out/$f"; then
+      echo "$f: identical"
+    else
+      stale=1
+    fi
+  done
+  if [ "$stale" != 0 ]; then
+    echo "artifacts: committed BENCH output differs from a fresh regeneration"
+    exit 1
+  fi
 fi
 
 if want docs; then
