@@ -53,6 +53,30 @@ pub use rdata::RData;
 pub use record::Record;
 pub use types::{Opcode, Rcode, RrClass, RrType};
 
+/// SplitMix64 for tests that derive a whole input from one seed, so a
+/// failing case names the seed that rebuilds it.
+#[cfg(test)]
+pub(crate) struct Mix(pub(crate) u64);
+
+#[cfg(test)]
+impl Mix {
+    pub(crate) fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    pub(crate) fn chance(&mut self, one_in: u64) -> bool {
+        self.below(one_in) == 0
+    }
+}
+
 
 #[cfg(test)]
 mod proptests {

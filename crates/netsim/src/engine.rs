@@ -1111,7 +1111,8 @@ impl Simulator {
             );
             return;
         }
-        let copies = if fault.duplicate > 0.0 && self.rng.gen::<f64>() < fault.duplicate {
+        let duplicated = fault.duplicate > 0.0 && self.rng.gen::<f64>() < fault.duplicate;
+        if duplicated {
             self.fault_metrics.duplicated.inc();
             self.fault_metrics.trace.event(
                 depart.as_nanos(),
@@ -1121,92 +1122,100 @@ impl Simulator {
                     ("to", Value::U64(dst_node as u64)),
                 ],
             );
-            2
-        } else {
-            1
-        };
-        for copy in 0..copies {
-            let mut pkt = pkt.clone();
-            let mut delay = base_delay;
-            if copy > 0 {
-                delay += SimTime::from_micros(1); // duplicate trails slightly
-            }
-            if fault.corrupt > 0.0
-                && !pkt.payload.is_empty()
-                && self.rng.gen::<f64>() < fault.corrupt
-            {
-                let idx = self.rng.gen_range(0..pkt.payload.len());
-                let mask = self.rng.gen_range(1..=255u8); // non-zero: always changes the byte
-                pkt.payload[idx] ^= mask;
-                self.fault_metrics.corrupted.inc();
-                self.fault_metrics.trace.event(
-                    depart.as_nanos(),
-                    "corrupted",
-                    &[
-                        ("from", Value::U64(from as u64)),
-                        ("to", Value::U64(dst_node as u64)),
-                    ],
-                );
-            }
-            if fault.reorder > 0.0
-                && fault.jitter > SimTime::ZERO
-                && self.rng.gen::<f64>() < fault.reorder
-            {
-                delay += SimTime::from_nanos(self.rng.gen_range(0..=fault.jitter.as_nanos()));
-                self.fault_metrics.reordered.inc();
-                self.fault_metrics.trace.event(
-                    depart.as_nanos(),
-                    "reordered",
-                    &[
-                        ("from", Value::U64(from as u64)),
-                        ("to", Value::U64(dst_node as u64)),
-                    ],
-                );
-            }
-            // Fragmentation: a UDP payload above the link MTU arrives
-            // reassembled-and-marked; a planted spoofed tail whose claimed
-            // source and offset line up replaces everything past the split.
-            if pkt.proto == Proto::Udp {
-                if let Some(&mtu) = self.frag_mtus.get(&(from, dst_node)) {
-                    if pkt.payload.len() > mtu {
-                        pkt.fragmented = true;
-                        self.fault_metrics.fragmented.inc();
+        }
+        // Each copy draws its faults in delivery order; the first of a
+        // duplicated pair gets a clone and the original moves into the
+        // last, so a single delivery copies nothing.
+        let mut delay = base_delay;
+        if duplicated {
+            self.deliver_copy(from, dst_node, depart, delay, &fault, pkt.clone());
+            delay += SimTime::from_micros(1); // duplicate trails slightly
+        }
+        self.deliver_copy(from, dst_node, depart, delay, &fault, pkt);
+    }
+
+    /// Samples the per-copy faults (corruption, reordering, fragmentation)
+    /// for one copy of a routed packet and queues its delivery.
+    fn deliver_copy(
+        &mut self,
+        from: NodeId,
+        dst_node: NodeId,
+        depart: SimTime,
+        mut delay: SimTime,
+        fault: &FaultPlan,
+        mut pkt: Packet,
+    ) {
+        if fault.corrupt > 0.0 && !pkt.payload.is_empty() && self.rng.gen::<f64>() < fault.corrupt {
+            let idx = self.rng.gen_range(0..pkt.payload.len());
+            let mask = self.rng.gen_range(1..=255u8); // non-zero: always changes the byte
+            pkt.payload[idx] ^= mask;
+            self.fault_metrics.corrupted.inc();
+            self.fault_metrics.trace.event(
+                depart.as_nanos(),
+                "corrupted",
+                &[
+                    ("from", Value::U64(from as u64)),
+                    ("to", Value::U64(dst_node as u64)),
+                ],
+            );
+        }
+        if fault.reorder > 0.0
+            && fault.jitter > SimTime::ZERO
+            && self.rng.gen::<f64>() < fault.reorder
+        {
+            delay += SimTime::from_nanos(self.rng.gen_range(0..=fault.jitter.as_nanos()));
+            self.fault_metrics.reordered.inc();
+            self.fault_metrics.trace.event(
+                depart.as_nanos(),
+                "reordered",
+                &[
+                    ("from", Value::U64(from as u64)),
+                    ("to", Value::U64(dst_node as u64)),
+                ],
+            );
+        }
+        // Fragmentation: a UDP payload above the link MTU arrives
+        // reassembled-and-marked; a planted spoofed tail whose claimed
+        // source and offset line up replaces everything past the split.
+        if pkt.proto == Proto::Udp {
+            if let Some(&mtu) = self.frag_mtus.get(&(from, dst_node)) {
+                if pkt.payload.len() > mtu {
+                    pkt.fragmented = true;
+                    self.fault_metrics.fragmented.inc();
+                    self.fault_metrics.trace.event(
+                        depart.as_nanos(),
+                        "fragmented",
+                        &[
+                            ("from", Value::U64(from as u64)),
+                            ("to", Value::U64(dst_node as u64)),
+                            ("bytes", Value::U64(pkt.payload.len() as u64)),
+                        ],
+                    );
+                    let planted = self
+                        .frag_subs
+                        .get(&dst_node)
+                        .and_then(|subs| {
+                            subs.iter().find(|s| s.src == pkt.src.ip && s.offset == mtu)
+                        })
+                        .cloned();
+                    if let Some(sub) = planted {
+                        pkt.payload.truncate(mtu);
+                        pkt.payload.extend_from_slice(&sub.payload);
+                        self.fault_metrics.frag_substituted.inc();
                         self.fault_metrics.trace.event(
                             depart.as_nanos(),
-                            "fragmented",
+                            "frag_substituted",
                             &[
                                 ("from", Value::U64(from as u64)),
                                 ("to", Value::U64(dst_node as u64)),
-                                ("bytes", Value::U64(pkt.payload.len() as u64)),
+                                ("offset", Value::U64(sub.offset as u64)),
                             ],
                         );
-                        let planted = self
-                            .frag_subs
-                            .get(&dst_node)
-                            .and_then(|subs| {
-                                subs.iter()
-                                    .find(|s| s.src == pkt.src.ip && s.offset == mtu)
-                            })
-                            .cloned();
-                        if let Some(sub) = planted {
-                            pkt.payload.truncate(mtu);
-                            pkt.payload.extend_from_slice(&sub.payload);
-                            self.fault_metrics.frag_substituted.inc();
-                            self.fault_metrics.trace.event(
-                                depart.as_nanos(),
-                                "frag_substituted",
-                                &[
-                                    ("from", Value::U64(from as u64)),
-                                    ("to", Value::U64(dst_node as u64)),
-                                    ("offset", Value::U64(sub.offset as u64)),
-                                ],
-                            );
-                        }
                     }
                 }
             }
-            self.push(depart + delay, EventKind::Deliver(dst_node, pkt));
         }
+        self.push(depart + delay, EventKind::Deliver(dst_node, pkt));
     }
 
     fn is_partitioned(&self, a: NodeId, b: NodeId, t: SimTime) -> bool {
